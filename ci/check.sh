@@ -15,8 +15,9 @@
 #                                 for exp04 and for exp16's fault campaign
 #   7b. exp16 smoke             — one quick exp16_resilience run must
 #                                 exit 0 and write all four CSVs
-#   8. ci/perf_smoke.sh         — routing hot-path qps within 5x of the
-#                                 committed floors, plus the exp16 event
+#   8. ci/perf_smoke.sh         — routing hot-path qps (small-size
+#                                 path_qps and latency_qps) within 5x of
+#                                 the committed floors, plus the exp16 event
 #                                 rate covering the burned-down gnutella/
 #                                 kademlia/bittorrent paths
 #                                 (docs/PERFORMANCE.md)

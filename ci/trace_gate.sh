@@ -8,7 +8,7 @@
 # Uses exp04 (Gnutella message counts) because it exercises the engine,
 # the overlay, the oracle and the underlay accounting in one run, and
 # exp16 (resilience) because its non-empty FaultPlan drives routing
-# rebuilds, route-cache invalidation and every overlay's recovery path —
+# repairs, latency inflation and every overlay's recovery path —
 # the layers most likely to smuggle nondeterminism in. exp17 (fault-scale
 # repair) double-runs the incremental routing-repair path itself: its
 # routing.repair events and report must be byte-identical, which pins

@@ -837,15 +837,16 @@ mod tests {
     }
 
     #[test]
-    fn swarm_flow_model_bypasses_route_cache() {
+    fn swarm_flow_model_makes_no_latency_queries() {
         // The swarm moves bytes with the bandwidth-share model
         // (account_transfer), not per-flow latency queries, so a full run
-        // must leave the AS-pair route cache untouched — a regression here
-        // means someone added a latency probe to the per-round hot loop.
+        // must leave the latency query counters at zero — a regression
+        // here means someone added a latency probe to the per-round hot
+        // loop.
         let (_, u) = run_swarm(underlay(80, 8), small_cfg(TrackerPolicy::Random), 41);
         assert_eq!(u.route_cache_stats(), (0, 0));
-        // The cache still answers post-run analysis queries on the same
-        // underlay: any inter-AS pair registers a hit.
+        // Post-run analysis queries on the same underlay still count: any
+        // inter-AS pair registers an inter-AS query.
         let mut probed = false;
         for a in 0..u.n_hosts() {
             let (ha, hb) = (HostId(a as u32), HostId(((a + 1) % u.n_hosts()) as u32));
@@ -856,8 +857,8 @@ mod tests {
             }
         }
         assert!(probed, "hierarchy population must span multiple ASes");
-        let (hits, _) = u.route_cache_stats();
-        assert!(hits > 0);
+        let (inter_as, _) = u.route_cache_stats();
+        assert!(inter_as > 0);
     }
 
     #[test]
@@ -954,17 +955,20 @@ mod tests {
             (
                 report.completed_by_round.clone(),
                 report.reannounces,
-                u.route_cache_invalidations(),
+                (u.repair_totals().1, u.n_ases() as u64),
                 t.to_jsonl(),
             )
         };
-        let (curve, reann, invalidations, trace) = run();
+        let (curve, reann, (epoch_sources, n_ases), trace) = run();
         assert!(trace.contains("\"k\":\"fault.epoch\""));
         assert!(trace.contains("\"k\":\"reannounce\""));
         // Three boundaries: two starts, overlapping ends dedup to 120/160.
-        assert_eq!(invalidations, 4);
-        let (curve2, reann2, inv2, trace2) = run();
-        assert_eq!((curve, reann, invalidations), (curve2, reann2, inv2));
+        assert_eq!(epoch_sources, 4 * n_ases);
+        let (curve2, reann2, (epoch_sources2, _), trace2) = run();
+        assert_eq!(
+            (curve, reann, epoch_sources),
+            (curve2, reann2, epoch_sources2)
+        );
         assert_eq!(trace, trace2, "faulted runs must be byte-identical");
     }
 

@@ -29,7 +29,7 @@ pub enum Ev {
     /// Neighbor-set repair after losing connections.
     Repair(HostId),
     /// Fault-plan epoch boundary (index into the compiled plan's sorted
-    /// boundary list): rebuild routing, invalidate the route cache, and
+    /// boundary list): repair routing, apply the latency factor, and
     /// crash/restart the affected hosts.
     Fault(u32),
 }
@@ -233,7 +233,7 @@ impl GnutellaSim {
     }
 
     /// Applies the composed fault state at one epoch boundary: routing
-    /// rebuild + route-cache invalidation on the underlay, then a diff of
+    /// repair + latency factor on the underlay, then a diff of
     /// the crash set against the previous one (newly crashed hosts drop
     /// off the overlay, restored hosts rejoin if their churn state allows).
     fn fault_boundary(&mut self, idx: usize, ctx: &mut Ctx<'_, Ev>) {
@@ -972,7 +972,10 @@ mod tests {
         );
         let (report, world) = run_experiment(underlay(150, 9), cfg, 31);
         // Both epoch boundaries applied (entry + exit share the two times).
-        assert_eq!(world.underlay.route_cache_invalidations(), 2);
+        assert_eq!(
+            world.underlay.repair_totals().1,
+            2 * world.underlay.n_ases() as u64
+        );
         // The partition must have made some chosen source unreachable.
         let failed_during = world
             .download_log()

@@ -29,7 +29,7 @@ fn underlay(n_hosts: usize, seed: u64) -> Underlay {
 }
 
 /// Runs a same-configuration experiment, returning the serialized trace,
-/// the rendered run report, and the underlay route-cache counters.
+/// the rendered run report, and the underlay latency query counters.
 fn run_once(seed: u64) -> (Vec<u8>, String, (u64, u64)) {
     let cfg = GnutellaConfig {
         selection: NeighborSelection::Random,
@@ -74,10 +74,13 @@ fn same_seed_runs_produce_identical_reports_and_cache_counters() {
     );
     assert_eq!(
         cache_a, cache_b,
-        "route-cache hit/miss counters must be deterministic"
+        "latency query counters must be deterministic"
     );
-    let (hits, _misses) = cache_a;
-    assert!(hits > 0, "a 5-minute run must exercise the route cache");
+    let (inter_as, _intra_as) = cache_a;
+    assert!(
+        inter_as > 0,
+        "a 5-minute run must make inter-AS latency queries"
+    );
 }
 
 #[test]

@@ -771,19 +771,16 @@ mod tests {
     }
 
     #[test]
-    fn lookups_hit_route_cache_and_export_metrics() {
+    fn lookups_grow_inter_as_query_counts() {
         let (mut net, mut rng) = network(64, ProximityMode::None, 10);
+        let (before, _) = net.underlay.route_cache_stats();
         for i in 0..5u32 {
             let t = Key::random(&mut rng);
             net.lookup(HostId(i), &t, &mut rng);
         }
-        // Every inter-AS RPC answers its RTT from the precomputed AS-pair
-        // cache, so a handful of lookups must register hits.
-        let (hits, misses) = net.underlay.route_cache_stats();
-        assert!(hits > 0, "inter-AS RPCs should hit the route cache");
-        let mut m = uap_sim::Metrics::new();
-        net.underlay.export_route_cache_metrics(&mut m);
-        assert_eq!(m.counter("net.route_cache.hit"), hits);
-        assert_eq!(m.counter("net.route_cache.miss"), misses);
+        // Every inter-AS RPC reads its RTT from the routing table, so a
+        // handful of lookups must grow the inter-AS query count.
+        let (after, _) = net.underlay.route_cache_stats();
+        assert!(after > before, "inter-AS RPCs should count latency queries");
     }
 }

@@ -17,8 +17,8 @@
 //! sim-time-driven: the overlay worlds schedule one event per epoch
 //! boundary and call [`crate::Underlay::apply_fault_state`], which
 //! incrementally repairs routing under the epoch's mask (only sources
-//! whose shortest-path forests touch a changed link recompute) and
-//! invalidates the affected rows of the packed AS-pair route cache (see
+//! whose shortest-path forests touch a changed link recompute) and applies
+//! the epoch's latency factor to every later latency query (see
 //! `docs/DETERMINISM.md` and `docs/PERFORMANCE.md`).
 
 use crate::asgraph::{AsGraph, LinkKind};

@@ -143,10 +143,10 @@ impl FlowAllocator {
         let src_as = underlay.hosts.as_of(src);
         let dst_as = underlay.hosts.as_of(dst);
         if src_as != dst_as {
-            // Resolved directly from the routing tables (CSR slice), never
-            // through the AS-pair route cache — flow setup must not perturb
-            // the cache counters the latency queries own.
-            let Some(path) = underlay.routing.path_links(src_as, dst_as) else {
+            // Resolved directly from the routing tables (CSR slice), not
+            // through a latency query — flow setup must not perturb the
+            // query counters the latency queries own.
+            let Some(path) = underlay.routing().path_links(src_as, dst_as) else {
                 self.rejected += 1;
                 return false;
             };
@@ -295,7 +295,7 @@ impl FlowAllocator {
     }
 
     /// Exports lifetime counters (`net.flow.opened` / `net.flow.rejected`)
-    /// into `metrics`, mirroring the route-cache export convention.
+    /// into `metrics`, mirroring the routing-repair export convention.
     pub fn export_metrics(&self, metrics: &mut Metrics) {
         metrics.set_counter("net.flow.opened", self.opened);
         metrics.set_counter("net.flow.rejected", self.rejected);

@@ -23,7 +23,7 @@
 //! * [`failure`] — link/AS failure injection for resilience experiments;
 //! * [`fault`] — time-scheduled fault campaigns ([`FaultPlan`]): epoch-based
 //!   link-down windows, latency inflation and host crash/restart, applied
-//!   through the event engine with route-cache invalidation;
+//!   through the event engine with incremental routing repair;
 //! * [`flow`] — deterministic max-min fair bandwidth allocation
 //!   (progressive filling) over per-host access links and shared inter-AS
 //!   link capacities — the flow-level model behind BitTorrent rounds and

@@ -187,8 +187,8 @@ impl RepairIndex {
     }
 
     /// The sources recomputed by the most recent
-    /// [`Routing::repair_with_mask`] call, ascending. Drives delta
-    /// route-cache invalidation (only these rows changed).
+    /// [`Routing::repair_with_mask`] call, ascending: exactly the routing
+    /// rows that changed.
     pub fn dirty_sources(&self) -> &[u32] {
         &self.dirty_list
     }

@@ -1,9 +1,10 @@
 //! The underlay façade.
 //!
 //! [`Underlay`] bundles the AS graph, its routing tables and the host
-//! population into the single object overlays query: host-to-host latency,
-//! AS-hop distance, path lookup, transfer-time estimation and traffic
-//! accounting. It is the "substrate on which the overlay resides".
+//! population into the single object overlays query: host-to-host latency
+//! (one routing-table read per inter-AS direction), AS-hop distance, path
+//! lookup and traffic accounting. It is the "substrate on which the
+//! overlay resides".
 
 use crate::asgraph::AsGraph;
 use crate::geo::propagation_delay_us;
@@ -48,193 +49,35 @@ impl Default for UnderlayConfig {
     }
 }
 
-/// Deterministic AS-pair route-metric cache: the combined
-/// `path_latency + as_hops × per_as_hop_us` term of the host-latency
-/// decomposition, materialized per ordered AS pair at build time so
-/// [`Underlay::latency_us`] (and therefore `rtt_us`) does one indexed
-/// read instead of probing the routing table twice per direction.
-/// Each entry also carries the path's transit-link count in its upper
-/// bits, so post-run analyses can read a path's transit crossing count
-/// from the word the RTT computation already loaded instead of touching
-/// the routing table a second time. `u64::MAX` marks unreachable pairs.
-///
-/// The cache is derived from the routing table, `per_as_hop_us` and the
-/// active latency-inflation factor. Host migration cannot stale it
-/// (migration changes which AS a host maps to, not any AS-pair metric),
-/// but **swapping the routing table can**: whoever rebuilds `routing`
-/// (fault epochs, manual masked rebuilds through the `pub` field) must go
-/// through [`Underlay::rebuild_routing_with_mask`] /
-/// [`Underlay::invalidate_route_cache`] so the cache is invalidated in
-/// the same step. [`Underlay::assert_route_cache_coherent`] verifies the
-/// invariant in debug builds after every invalidation.
-///
-/// Invalidation is **generation-stamped and per source row**: every
-/// entry carries the generation of its `src` row at fill time and is
-/// valid only while the two match, so bumping a row's generation lazily
-/// invalidates its `n` entries in O(1). Incremental fault-epoch repairs
-/// ([`Underlay::apply_fault_state`]) bump only the rows of sources whose
-/// routing actually changed; untouched rows keep serving their filled
-/// entries with no refill cost. Stale entries refill from the routing
-/// table on next lookup (counted in `refills`).
-///
-/// Hit/miss counters use `Cell` so read-only latency queries (`&self`)
-/// can record them; a "miss" is an intra-AS query answered by the
-/// geographic model instead of the cache.
-#[derive(Debug)]
-struct RouteCache {
-    n: usize,
-    /// `n × n` packed entries, row-major by source AS:
-    /// `transit_links << 48 | combined_us`. `Cell` so stale entries can
-    /// refill during read-only lookups.
-    entries: Vec<Cell<u64>>,
-    /// Fill generation per entry; valid iff it matches `row_gen[src]`.
-    entry_gen: Vec<Cell<u32>>,
-    /// Current generation per source row; bumping it invalidates the row.
-    row_gen: Vec<u32>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-    /// Stale entries refilled on lookup since construction.
-    refills: Cell<u64>,
-}
-
-/// Unreachable-pair sentinel (no real entry has all transit bits set).
-const UNREACHABLE_ENTRY: u64 = u64::MAX;
-/// Low 48 bits of a packed entry: combined microseconds (2^48 µs is over
-/// eight simulated years — far beyond any path metric).
-const COMBINED_MASK: u64 = (1 << 48) - 1;
-
-impl RouteCache {
-    /// Eagerly fills every entry (all generations valid at 0). The
-    /// initial build is eager so coherence checks and first lookups never
-    /// observe an unfilled cache; later invalidations are lazy.
-    // lint:allow(alloc) — cache construction; runs once per full routing rebuild
-    fn build(routing: &Routing, n: usize, per_as_hop_us: u64, latency_factor: f64) -> RouteCache {
-        let mut entries = Vec::with_capacity(n * n);
-        for s in 0..n {
-            for d in 0..n {
-                entries.push(Cell::new(Self::packed_entry(
-                    routing,
-                    AsId::from_index(s),
-                    AsId::from_index(d),
-                    per_as_hop_us,
-                    latency_factor,
-                )));
-            }
-        }
-        RouteCache {
-            n,
-            entries,
-            entry_gen: vec![Cell::new(0); n * n],
-            row_gen: vec![0; n],
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-            refills: Cell::new(0),
-        }
-    }
-
-    /// Carries the lookup counters over from the cache this one replaces,
-    /// so a rebuild never resets observability counters.
-    fn retain_stats_from(&self, prev: &RouteCache) {
-        self.hits.set(prev.hits.get());
-        self.misses.set(prev.misses.get());
-        self.refills.set(prev.refills.get());
-    }
-
-    /// Invalidates every source row (full routing swap or a change to the
-    /// latency factor folded into the entries).
-    fn invalidate_all_rows(&mut self) {
-        for g in &mut self.row_gen {
-            *g = g.wrapping_add(1);
-        }
-    }
-
-    /// Invalidates one source row: its entries refill lazily on lookup.
-    fn invalidate_row(&mut self, src: usize) {
-        self.row_gen[src] = self.row_gen[src].wrapping_add(1);
-    }
-
-    /// The packed entry for one ordered AS pair, straight from the routing
-    /// table — the ground truth the cache materializes and the coherence
-    /// assertion recomputes.
-    fn packed_entry(
-        routing: &Routing,
-        src: AsId,
-        dst: AsId,
-        per_as_hop_us: u64,
-        latency_factor: f64,
-    ) -> u64 {
-        match routing.route(src, dst) {
-            None => UNREACHABLE_ENTRY,
-            Some(r) => {
-                let mut combined = r.latency_us + r.hops as u64 * per_as_hop_us;
-                if (latency_factor - 1.0).abs() > f64::EPSILON {
-                    combined = (combined as f64 * latency_factor) as u64;
-                }
-                debug_assert!(combined <= COMBINED_MASK);
-                (r.transit_links as u64) << 48 | combined
-            }
-        }
-    }
-
-    /// Reads the packed entry for an ordered AS pair, counting a hit.
-    /// A generation-stale entry refills from the routing table first.
-    #[inline]
-    fn lookup(
-        &self,
-        src: AsId,
-        dst: AsId,
-        routing: &Routing,
-        per_as_hop_us: u64,
-        latency_factor: f64,
-    ) -> u64 {
-        self.hits.set(self.hits.get() + 1);
-        let i = src.idx() * self.n + dst.idx();
-        let gen = self.row_gen[src.idx()];
-        if self.entry_gen[i].get() == gen {
-            return self.entries[i].get();
-        }
-        let entry = Self::packed_entry(routing, src, dst, per_as_hop_us, latency_factor);
-        self.entries[i].set(entry);
-        self.entry_gen[i].set(gen);
-        self.refills.set(self.refills.get() + 1);
-        entry
-    }
-
-    #[inline]
-    fn note_miss(&self) {
-        self.misses.set(self.misses.get() + 1);
-    }
-}
-
 /// The assembled underlay: topology + routing + hosts.
 pub struct Underlay {
     /// The AS graph.
     pub graph: AsGraph,
-    /// All-pairs routing.
-    pub routing: Routing,
+    /// All-pairs routing. Private so [`Underlay::apply_fault_state`] is
+    /// its only writer and the repair index always matches it; read it
+    /// through [`Underlay::routing`].
+    routing: Routing,
     /// The attached hosts.
     pub hosts: HostPopulation,
     /// Configuration.
     pub config: UnderlayConfig,
     /// Traffic ledger for this run.
     pub traffic: TrafficAccounting,
-    /// AS-pair route-metric cache (see [`RouteCache`]).
-    route_cache: RouteCache,
     /// Repair bookkeeping for incremental fault-epoch routing updates
-    /// (see [`RepairIndex`]). `None` after a direct `routing` write via
-    /// [`Underlay::invalidate_route_cache`] — the next fault epoch then
-    /// falls back to one full indexed rebuild and restores it.
-    repair_index: Option<RepairIndex>,
+    /// (see [`RepairIndex`]).
+    repair_index: RepairIndex,
     /// The link-failure mask the current routing table was built under
     /// (all-false = no faults), diffed against the next fault state's
     /// mask to find changed links.
     active_mask: Vec<bool>,
     /// Latency-inflation factor from the active fault state (1.0 = none),
-    /// folded into the cache entries at (re)fill time.
+    /// applied to the inter-AS term of every latency query.
     latency_factor: f64,
-    /// How many times the route cache has been invalidated after a
-    /// routing swap (fault epochs, manual invalidation).
-    invalidations: u64,
+    /// Latency queries answered so far: inter-AS (one routing-table read
+    /// each) and intra-AS (geographic model). `Cell` so read-only queries
+    /// can count.
+    inter_as_queries: Cell<u64>,
+    intra_as_queries: Cell<u64>,
     /// Stats of the most recent fault-epoch repair.
     last_repair: RepairStats,
     /// Running totals across fault epochs: sources recomputed vs the
@@ -243,13 +86,6 @@ pub struct Underlay {
     repair_sources_recomputed: u64,
     repair_sources_total: u64,
     repair_full_fallbacks: u64,
-    /// Upper bound on any host pair's access bottleneck
-    /// (`min(max uplink, max downlink)` over all hosts, in kbit/s).
-    /// Host bandwidth is fixed at build time (migration moves a host
-    /// without resampling its access profile), so this lets
-    /// [`Underlay::transfer_time`] prove the TCP window/RTT cap cannot
-    /// bind and skip the division on the fast path.
-    bottleneck_bound_kbps: u64,
 }
 
 impl Underlay {
@@ -263,17 +99,6 @@ impl Underlay {
         let (routing, repair_index) = Routing::compute_indexed(&graph, config.routing, None);
         let hosts = HostPopulation::build(&graph, pop, rng);
         let traffic = TrafficAccounting::new(&graph);
-        let route_cache = RouteCache::build(&routing, graph.len(), config.per_as_hop_us, 1.0);
-        let max_up = hosts
-            .ids()
-            .map(|h| hosts.host(h).up_kbps as u64)
-            .max()
-            .unwrap_or(0);
-        let max_down = hosts
-            .ids()
-            .map(|h| hosts.host(h).down_kbps as u64)
-            .max()
-            .unwrap_or(0);
         let n_links = graph.links.len();
         Underlay {
             graph,
@@ -281,173 +106,58 @@ impl Underlay {
             hosts,
             config,
             traffic,
-            route_cache,
-            repair_index: Some(repair_index),
+            repair_index,
             active_mask: vec![false; n_links],
             latency_factor: 1.0,
-            invalidations: 0,
+            inter_as_queries: Cell::new(0),
+            intra_as_queries: Cell::new(0),
             last_repair: RepairStats::default(),
             repair_sources_recomputed: 0,
             repair_sources_total: 0,
             repair_full_fallbacks: 0,
-            bottleneck_bound_kbps: max_up.min(max_down).max(1),
         }
     }
 
-    /// Rebuilds routing *from scratch* with a link-failure `mask`
-    /// (`None` = all links up) and **invalidates the packed AS-pair route
-    /// cache** in the same step, restoring the repair index so later
-    /// fault epochs are incremental again. This is the sanctioned way to
-    /// force a full table swap; fault epochs should go through
-    /// [`Underlay::apply_fault_state`], which repairs incrementally.
-    /// Writing `self.routing` directly leaves stale cached
-    /// `latency_us`/`rtt_us`/`transfer_time` answers behind (see the
-    /// `masked_rebuild_changes_cached_answers` golden test).
-    pub fn rebuild_routing_with_mask(&mut self, mask: Option<&[bool]>) {
-        let (routing, index) = Routing::compute_indexed(&self.graph, self.config.routing, mask);
-        self.routing = routing;
-        match mask {
-            Some(m) => self.active_mask.copy_from_slice(m),
-            None => self.active_mask.fill(false),
-        }
-        self.invalidate_route_cache();
-        // Set after invalidate_route_cache, which clears the index to
-        // protect against direct routing writes.
-        self.repair_index = Some(index);
+    /// The all-pairs routing table under the active fault state.
+    pub fn routing(&self) -> &Routing {
+        &self.routing
     }
 
     /// Applies one composed fault state: the link mask drives an
     /// **incremental routing repair** (only sources whose shortest-path
     /// trees the changed links touch are recomputed — see
-    /// [`Routing::repair_with_mask`]), and only those sources' route-cache
-    /// rows are invalidated; a changed latency-inflation factor
-    /// invalidates every row since it is folded into each entry. Host
-    /// crashes are overlay-level (the worlds take peers offline); the
-    /// underlay only carries the path effects.
+    /// [`Routing::repair_with_mask`]), and the latency-inflation factor
+    /// scales every later inter-AS latency answer. Host crashes are
+    /// overlay-level (the worlds take peers offline); the underlay only
+    /// carries the path effects.
     ///
     /// Returns the repair stats for telemetry
     /// (`net.routing.sources_recomputed` et al. via
     /// [`Underlay::export_repair_metrics`], `routing.repair` trace
     /// events at fault boundaries).
     pub fn apply_fault_state(&mut self, state: &crate::fault::FaultState) -> RepairStats {
-        let factor_changed = (state.latency_factor - self.latency_factor).abs() > f64::EPSILON;
         self.latency_factor = state.latency_factor;
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
-        let stats = match &mut self.repair_index {
-            Some(index) => self.routing.repair_with_mask(
-                index,
-                &self.graph,
-                Some(&self.active_mask),
-                state.mask.as_deref(),
-                threads,
-            ),
-            None => {
-                // The index was dropped by a direct-write invalidation;
-                // one full rebuild restores it.
-                let (routing, index) = Routing::compute_indexed(
-                    &self.graph,
-                    self.config.routing,
-                    state.mask.as_deref(),
-                );
-                self.routing = routing;
-                self.repair_index = Some(index);
-                RepairStats {
-                    changed_links: 0,
-                    dirty_sources: self.graph.len(),
-                    sources_total: self.graph.len(),
-                    full_rebuild: true,
-                }
-            }
-        };
+        let stats = self.routing.repair_with_mask(
+            &mut self.repair_index,
+            &self.graph,
+            Some(&self.active_mask),
+            state.mask.as_deref(),
+            threads,
+        );
         match state.mask.as_deref() {
             Some(m) => self.active_mask.copy_from_slice(m),
             None => self.active_mask.fill(false),
         }
-        if stats.full_rebuild || factor_changed {
-            self.route_cache.invalidate_all_rows();
-        } else if let Some(index) = &self.repair_index {
-            for &s in index.dirty_sources() {
-                self.route_cache.invalidate_row(s as usize);
-            }
-        }
-        self.invalidations += 1;
         self.last_repair = stats;
         self.repair_sources_recomputed += stats.dirty_sources as u64;
         self.repair_sources_total += stats.sources_total as u64;
         if stats.full_rebuild {
             self.repair_full_fallbacks += 1;
         }
-        #[cfg(debug_assertions)]
-        self.assert_route_cache_coherent();
         stats
-    }
-
-    /// Rebuilds the route cache eagerly from the *current* routing table,
-    /// preserving the lookup counters across the swap
-    /// ([`RouteCache::retain_stats_from`]) and bumping the invalidation
-    /// counter. Call after any direct `routing` write; since such a write
-    /// bypasses the repair bookkeeping, the repair index is dropped and
-    /// the next fault epoch performs one full rebuild to restore it. In
-    /// debug builds the rebuilt cache is immediately checked for
-    /// coherence.
-    pub fn invalidate_route_cache(&mut self) {
-        self.repair_index = None;
-        let fresh = RouteCache::build(
-            &self.routing,
-            self.graph.len(),
-            self.config.per_as_hop_us,
-            self.latency_factor,
-        );
-        fresh.retain_stats_from(&self.route_cache);
-        self.route_cache = fresh;
-        self.invalidations += 1;
-        #[cfg(debug_assertions)]
-        self.assert_route_cache_coherent();
-    }
-
-    /// Verifies every *generation-valid* packed cache entry against a
-    /// fresh routing-table computation — the debug-mode coherence
-    /// assertion guarding fault epoch switches. Generation-stale entries
-    /// are skipped: they refill from the live table on next lookup, so
-    /// they cannot serve wrong answers. O(n²) route loads; debug builds
-    /// only (called after every invalidation/repair) plus tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any valid cached entry disagrees with the routing
-    /// table.
-    pub fn assert_route_cache_coherent(&self) {
-        let n = self.graph.len();
-        for s in 0..n {
-            for d in 0..n {
-                let i = s * self.route_cache.n + d;
-                if self.route_cache.entry_gen[i].get() != self.route_cache.row_gen[s] {
-                    continue; // lazily invalidated; refills on next lookup
-                }
-                let (src, dst) = (AsId::from_index(s), AsId::from_index(d));
-                let want = RouteCache::packed_entry(
-                    &self.routing,
-                    src,
-                    dst,
-                    self.config.per_as_hop_us,
-                    self.latency_factor,
-                );
-                let got = self.route_cache.entries[i].get();
-                assert_eq!(
-                    got, want,
-                    "route cache stale for AS pair ({s}, {d}): \
-                     cached {got:#x}, routing table says {want:#x} — \
-                     was `routing` swapped without invalidate_route_cache()?"
-                );
-            }
-        }
-    }
-
-    /// Number of route-cache invalidations (routing rebuilds) so far.
-    pub fn route_cache_invalidations(&self) -> u64 {
-        self.invalidations
     }
 
     /// Number of hosts.
@@ -480,9 +190,7 @@ impl Underlay {
 
     /// One-way latency from `a` to `b` in microseconds: both access links,
     /// the inter-AS path, per-AS-hop queueing, and intra-AS propagation
-    /// between geographic positions. The inter-AS term
-    /// (`path latency + hops × per_as_hop_us`) is served by the AS-pair
-    /// route cache in a single indexed read.
+    /// between geographic positions.
     #[inline]
     pub fn latency_us(&self, a: HostId, b: HostId) -> Option<u64> {
         if a == b {
@@ -492,102 +200,40 @@ impl Underlay {
         let hb = self.hosts.host(b);
         let base = ha.access_latency_us + hb.access_latency_us;
         if ha.asn == hb.asn {
-            // Intra-AS: propagation across the ISP's metro network — the
-            // cache does not apply.
-            self.route_cache.note_miss();
-            return Some(base + propagation_delay_us(ha.geo.distance_km(&hb.geo)));
+            return Some(base + self.intra_as_us(ha, hb));
         }
-        match self.route_cache.lookup(
-            ha.asn,
-            hb.asn,
-            &self.routing,
-            self.config.per_as_hop_us,
-            self.latency_factor,
-        ) {
-            UNREACHABLE_ENTRY => None,
-            entry => Some(base + (entry & COMBINED_MASK)),
-        }
+        Some(base + self.inter_as_us(ha.asn, hb.asn)?)
     }
 
-    /// Fused round-trip computation: one host fetch per endpoint, both
-    /// directional latencies from the already-loaded records, and the
-    /// forward packed cache entry returned alongside so `transfer_time`
-    /// can read the transit count without a second table access. Returns
-    /// `(rtt_us, forward_entry)`; the entry is [`UNREACHABLE_ENTRY`] for
-    /// same-host or intra-AS pairs (where no cache entry applies).
-    ///
-    /// Byte-for-byte equivalent to
-    /// `latency_directional_us(a, b)? + latency_directional_us(b, a)?`,
-    /// including hit/miss counter effects and their ordering.
+    /// Intra-AS term: propagation across the ISP's metro network between
+    /// the two hosts' positions. Symmetric.
     #[inline]
-    fn rtt_fused(&self, a: HostId, b: HostId, ha: &Host, hb: &Host) -> Option<(u64, u64)> {
-        if a == b {
-            return Some((0, UNREACHABLE_ENTRY));
-        }
-        let base = ha.access_latency_us + hb.access_latency_us;
-        let (lat_ab, lat_ba, fwd) = if ha.asn == hb.asn {
-            self.route_cache.note_miss();
-            self.route_cache.note_miss();
-            // Geographic distance is symmetric, so both directions share
-            // the same base latency.
-            let l = base + propagation_delay_us(ha.geo.distance_km(&hb.geo));
-            (l, l, UNREACHABLE_ENTRY)
-        } else {
-            let fwd = self.route_cache.lookup(
-                ha.asn,
-                hb.asn,
-                &self.routing,
-                self.config.per_as_hop_us,
-                self.latency_factor,
-            );
-            if fwd == UNREACHABLE_ENTRY {
-                return None;
-            }
-            let rev = self.route_cache.lookup(
-                hb.asn,
-                ha.asn,
-                &self.routing,
-                self.config.per_as_hop_us,
-                self.latency_factor,
-            );
-            if rev == UNREACHABLE_ENTRY {
-                return None;
-            }
-            (
-                base + (fwd & COMBINED_MASK),
-                base + (rev & COMBINED_MASK),
-                fwd,
-            )
-        };
-        if (self.config.asymmetry - 1.0).abs() < f64::EPSILON {
-            return Some((lat_ab + lat_ba, fwd));
-        }
-        // Replicate latency_directional_us exactly: the larger-id →
-        // smaller-id direction is scaled.
-        let dir_ab = if a.0 > b.0 {
-            (lat_ab as f64 * self.config.asymmetry) as u64
-        } else {
-            lat_ab
-        };
-        let dir_ba = if b.0 > a.0 {
-            (lat_ba as f64 * self.config.asymmetry) as u64
-        } else {
-            lat_ba
-        };
-        Some((dir_ab + dir_ba, fwd))
+    fn intra_as_us(&self, ha: &Host, hb: &Host) -> u64 {
+        self.intra_as_queries.set(self.intra_as_queries.get() + 1);
+        propagation_delay_us(ha.geo.distance_km(&hb.geo))
     }
 
-    /// Hit/miss counters of the AS-pair route cache: `(hits, misses)`.
-    /// A hit is an inter-AS latency query served from the cache; a miss
-    /// is an intra-AS query answered by the geographic model.
+    /// Inter-AS term for one ordered AS pair, from one routing-table read:
+    /// `path latency + hops × per_as_hop_us`, scaled by the active
+    /// latency-inflation factor. `None` if the pair is unroutable.
+    #[inline]
+    fn inter_as_us(&self, src: AsId, dst: AsId) -> Option<u64> {
+        self.inter_as_queries.set(self.inter_as_queries.get() + 1);
+        let r = self.routing.route(src, dst)?;
+        let combined = r.latency_us + r.hops as u64 * self.config.per_as_hop_us;
+        if (self.latency_factor - 1.0).abs() > f64::EPSILON {
+            return Some((combined as f64 * self.latency_factor) as u64);
+        }
+        Some(combined)
+    }
+
+    /// Latency queries answered so far: `(inter_as, intra_as)`. An
+    /// inter-AS query is one routing-table read (an RTT makes two, or one
+    /// when the forward direction is unroutable); an intra-AS query is
+    /// answered by the geographic model. Same-host queries count in
+    /// neither.
     pub fn route_cache_stats(&self) -> (u64, u64) {
-        (self.route_cache.hits.get(), self.route_cache.misses.get())
-    }
-
-    /// Stale route-cache entries refilled on lookup so far (grows only
-    /// after lazy invalidations, i.e. incremental fault-epoch repairs).
-    pub fn route_cache_refills(&self) -> u64 {
-        self.route_cache.refills.get()
+        (self.inter_as_queries.get(), self.intra_as_queries.get())
     }
 
     /// Stats of the most recent [`Underlay::apply_fault_state`] repair.
@@ -605,23 +251,12 @@ impl Underlay {
         )
     }
 
-    /// Exports the route-cache counters into `metrics` as
-    /// `net.route_cache.hit` / `net.route_cache.miss` /
-    /// `net.route_cache.invalidations` absolute values.
-    /// Opt-in (call at end of run) so existing experiment reports keep
-    /// their byte-identical metric sets unless they ask for these.
-    pub fn export_route_cache_metrics(&self, metrics: &mut Metrics) {
-        let (hits, misses) = self.route_cache_stats();
-        metrics.set_counter("net.route_cache.hit", hits);
-        metrics.set_counter("net.route_cache.miss", misses);
-        metrics.set_counter("net.route_cache.invalidations", self.invalidations);
-    }
-
     /// Exports the incremental-repair counters into `metrics` as
     /// `net.routing.sources_recomputed` / `net.routing.sources_total` /
-    /// `net.routing.repair_full_fallbacks` absolute values. Opt-in, like
-    /// [`Underlay::export_route_cache_metrics`]; the recomputed/total
-    /// ratio is the fraction of per-source Dijkstra work fault epochs
+    /// `net.routing.repair_full_fallbacks` absolute values. Opt-in (call
+    /// at end of run) so existing experiment reports keep their
+    /// byte-identical metric sets unless they ask for these; the
+    /// recomputed/total ratio is the fraction of per-source Dijkstra work fault epochs
     /// actually paid versus full rebuilds.
     pub fn export_repair_metrics(&self, metrics: &mut Metrics) {
         metrics.set_counter(
@@ -633,19 +268,6 @@ impl Underlay {
             "net.routing.repair_full_fallbacks",
             self.repair_full_fallbacks,
         );
-    }
-
-    /// Emits one `net`/`route_cache` trace event (Debug level) with the
-    /// current hit/miss counters. Opt-in, like
-    /// [`Underlay::export_route_cache_metrics`].
-    pub fn trace_route_cache(&self, now: SimTime, tracer: &mut Tracer) {
-        if !tracer.is_enabled("net", TraceLevel::Debug) {
-            return;
-        }
-        let (hits, misses) = self.route_cache_stats();
-        tracer.emit(now, "net", TraceLevel::Debug, "route_cache", |f| {
-            f.u64("hits", hits).u64("misses", misses);
-        });
     }
 
     /// Directional latency including the asymmetry factor: the `a -> b`
@@ -665,11 +287,46 @@ impl Underlay {
         }
     }
 
-    /// Round-trip time in microseconds (sum of both directions).
+    /// Round-trip time in microseconds (sum of both directions): one host
+    /// fetch per endpoint, both directional latencies from the loaded
+    /// records. Equal to
+    /// `latency_directional_us(a, b)? + latency_directional_us(b, a)?`,
+    /// query counts included.
     #[inline]
     pub fn rtt_us(&self, a: HostId, b: HostId) -> Option<u64> {
-        let (rtt, _) = self.rtt_fused(a, b, self.hosts.host(a), self.hosts.host(b))?;
-        Some(rtt)
+        if a == b {
+            return Some(0);
+        }
+        let ha = self.hosts.host(a);
+        let hb = self.hosts.host(b);
+        let base = ha.access_latency_us + hb.access_latency_us;
+        let (lat_ab, lat_ba) = if ha.asn == hb.asn {
+            // Geographic distance is symmetric, so both directions share
+            // one propagation term; each direction still counts a query.
+            let l = base + self.intra_as_us(ha, hb);
+            self.intra_as_queries.set(self.intra_as_queries.get() + 1);
+            (l, l)
+        } else {
+            let ab = base + self.inter_as_us(ha.asn, hb.asn)?;
+            let ba = base + self.inter_as_us(hb.asn, ha.asn)?;
+            (ab, ba)
+        };
+        if (self.config.asymmetry - 1.0).abs() < f64::EPSILON {
+            return Some(lat_ab + lat_ba);
+        }
+        // Replicate latency_directional_us exactly: the larger-id →
+        // smaller-id direction is scaled.
+        let dir_ab = if a.0 > b.0 {
+            (lat_ab as f64 * self.config.asymmetry) as u64
+        } else {
+            lat_ab
+        };
+        let dir_ba = if b.0 > a.0 {
+            (lat_ba as f64 * self.config.asymmetry) as u64
+        } else {
+            lat_ba
+        };
+        Some(dir_ab + dir_ba)
     }
 
     /// An RTT *measurement*: the true RTT plus multiplicative jitter. This
@@ -681,35 +338,6 @@ impl Underlay {
         }
         let f = 1.0 + rng.f64_range(0.0, self.config.jitter);
         Some((rtt as f64 * f) as u64)
-    }
-
-    /// Estimated time to transfer `bytes` from `a` to `b`: one RTT of
-    /// handshake plus serialization at the bottleneck of `a`'s uplink,
-    /// `b`'s downlink, and the TCP window/RTT throughput cap — the cap is
-    /// what makes nearby (low-RTT) sources genuinely faster, not just
-    /// cheaper for the ISP.
-    #[inline]
-    pub fn transfer_time(&self, a: HostId, b: HostId, bytes: u64) -> Option<SimTime> {
-        let ha = self.hosts.host(a);
-        let hb = self.hosts.host(b);
-        let (rtt, _) = self.rtt_fused(a, b, ha, hb)?;
-        let mut bottleneck_kbps = ha.up_kbps.min(hb.down_kbps).max(1) as u64;
-        // window bytes per RTT → kbit/s. When the RTT is small enough that
-        // `window / RTT` provably exceeds every host's line rate
-        // (`rtt × bound ≤ window_kbits`, floor-division-exact), the cap
-        // cannot bind and the division is skipped entirely.
-        let window_kbits = self
-            .config
-            .tcp_window_bytes
-            .saturating_mul(8)
-            .saturating_mul(1_000);
-        if rtt.saturating_mul(self.bottleneck_bound_kbps) > window_kbits {
-            if let Some(tcp_cap_kbps) = window_kbits.checked_div(rtt) {
-                bottleneck_kbps = bottleneck_kbps.min(tcp_cap_kbps.max(1));
-            }
-        }
-        let ser_us = bytes.saturating_mul(8).saturating_mul(1_000) / bottleneck_kbps;
-        Some(SimTime::from_micros(rtt + ser_us))
     }
 
     /// Records a transfer in the traffic ledger and returns its category.
@@ -911,15 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn transfer_time_scales_with_bytes() {
-        let u = underlay(1.0);
-        let (a, b) = (HostId(0), HostId(1));
-        let t1 = u.transfer_time(a, b, 100_000).unwrap();
-        let t2 = u.transfer_time(a, b, 1_000_000).unwrap();
-        assert!(t2 > t1);
-    }
-
-    #[test]
     fn unroutable_transfer_is_not_counted_as_local() {
         // Peering-only ring under valley-free policy: hosts more than one
         // peering hop apart are mutually unreachable. Their (impossible)
@@ -975,59 +594,13 @@ mod tests {
         assert_eq!(off.len(), 0);
     }
 
-    /// First inter-AS host pair of the fixture (the route cache applies
-    /// only to inter-AS queries).
+    /// First inter-AS host pair of the fixture (fault states move only
+    /// inter-AS answers).
     fn inter_as_pair(u: &Underlay) -> (HostId, HostId) {
         (0..200u32)
             .flat_map(|a| ((a + 1)..200u32).map(move |b| (HostId(a), HostId(b))))
             .find(|&(a, b)| !u.same_as(a, b))
             .expect("hierarchical fixture has inter-AS pairs")
-    }
-
-    #[test]
-    fn masked_rebuild_changes_cached_answers() {
-        // Golden test for the cache-staleness bug: swapping the routing
-        // table without invalidation keeps serving pre-swap answers; the
-        // sanctioned rebuild path must change them.
-        let mut u = underlay(1.0);
-        let (a, b) = inter_as_pair(&u);
-        let lat0 = u.latency_us(a, b);
-        assert!(lat0.is_some());
-        let all_down = vec![true; u.graph.links.len()];
-
-        // The buggy pattern: write `routing` directly. Every inter-AS pair
-        // is now unroutable, but the stale cache still answers.
-        u.routing = Routing::compute_with_mask(&u.graph, u.config.routing, Some(&all_down));
-        assert_eq!(
-            u.latency_us(a, b),
-            lat0,
-            "direct routing swap left the cache serving stale answers \
-             (this is the bug the invalidation hook exists for)"
-        );
-
-        // Invalidation brings the cache back in line with the table.
-        u.invalidate_route_cache();
-        assert_eq!(
-            u.latency_us(a, b),
-            None,
-            "masked rebuild must change cached answers"
-        );
-        assert_eq!(u.rtt_us(a, b), None);
-        assert_eq!(u.transfer_time(a, b, 100_000), None);
-
-        // The one-step sanctioned path restores the original answers.
-        u.rebuild_routing_with_mask(None);
-        assert_eq!(u.latency_us(a, b), lat0);
-        assert_eq!(u.route_cache_invalidations(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "route cache stale")]
-    fn coherence_assertion_catches_direct_routing_swap() {
-        let mut u = underlay(1.0);
-        let all_down = vec![true; u.graph.links.len()];
-        u.routing = Routing::compute_with_mask(&u.graph, u.config.routing, Some(&all_down));
-        u.assert_route_cache_coherent();
     }
 
     #[test]
@@ -1046,26 +619,7 @@ mod tests {
         // Clearing the fault restores the exact pre-fault metric.
         u.apply_fault_state(&crate::fault::FaultState::clear());
         assert_eq!(u.latency_us(a, b), Some(lat0));
-        assert_eq!(u.route_cache_invalidations(), 2);
-    }
-
-    #[test]
-    fn invalidation_with_zero_prior_lookups_keeps_zero_stats() {
-        // Edge case for the retain_stats_from plumbing: invalidating a
-        // cache that was never queried must carry the (0, 0) counters
-        // over, not reset or corrupt them.
-        let mut u = underlay(1.0);
-        assert_eq!(u.route_cache_stats(), (0, 0));
-        u.invalidate_route_cache();
-        assert_eq!(u.route_cache_stats(), (0, 0));
-        assert_eq!(u.route_cache_refills(), 0);
-        assert_eq!(u.route_cache_invalidations(), 1);
-        // Counters accumulated later survive the next invalidation.
-        let (a, b) = inter_as_pair(&u);
-        u.latency_us(a, b);
-        let (hits, _) = u.route_cache_stats();
-        u.invalidate_route_cache();
-        assert_eq!(u.route_cache_stats().0, hits);
+        assert_eq!(u.repair_totals().1, 2 * u.n_ases() as u64);
     }
 
     /// A deeper hierarchy than `underlay()` so localized faults dirty a
@@ -1125,66 +679,92 @@ mod tests {
         assert!(heal.dirty_sources >= 2 && heal.dirty_sources * 2 <= n);
         let pristine = Routing::compute_serial(&u.graph, u.config.routing, None);
         assert!(u.routing == pristine);
-        assert_eq!(u.route_cache_invalidations(), 2);
+        assert_eq!(u.repair_totals().1, 2 * n as u64);
     }
 
     #[test]
-    fn delta_invalidation_refills_only_dirty_rows() {
-        let (mut u, li) = deep_underlay();
-        let n = u.n_ases();
-        // Warm every entry via the eager initial build, then repair.
-        let mut state = crate::fault::FaultState::clear();
-        let mut mask = vec![false; u.graph.links.len()];
-        mask[li] = true;
-        state.mask = Some(mask);
-        let stats = u.apply_fault_state(&state);
-        assert!(!stats.full_rebuild);
-        let dirty: Vec<usize> = (0..n).filter(|&s| u.route_cache.row_gen[s] != 0).collect();
-        assert_eq!(dirty.len(), stats.dirty_sources);
-        // Scanning the whole AS-pair space refills exactly the dirty rows.
-        assert_eq!(u.route_cache_refills(), 0);
-        for s in 0..n {
-            for d in 0..n {
-                u.route_cache.lookup(
-                    AsId(s as u16),
-                    AsId(d as u16),
-                    &u.routing,
-                    u.config.per_as_hop_us,
-                    u.latency_factor,
-                );
-            }
-        }
-        assert_eq!(u.route_cache_refills(), (dirty.len() * n) as u64);
-        // A second scan is fully warm.
-        for s in 0..n {
-            for d in 0..n {
-                u.route_cache.lookup(
-                    AsId(s as u16),
-                    AsId(d as u16),
-                    &u.routing,
-                    u.config.per_as_hop_us,
-                    u.latency_factor,
-                );
-            }
-        }
-        assert_eq!(u.route_cache_refills(), (dirty.len() * n) as u64);
-    }
-
-    #[test]
-    fn latency_only_epoch_invalidates_all_rows_lazily() {
+    fn latency_only_epoch_recomputes_no_sources() {
         let (mut u, _) = deep_underlay();
         let (a, b) = inter_as_pair(&u);
         let lat0 = u.latency_us(a, b).unwrap();
         let mut state = crate::fault::FaultState::clear();
         state.latency_factor = 2.0;
         let stats = u.apply_fault_state(&state);
-        // No link changed: zero sources recomputed, but the factor is
-        // folded into entries, so every row must be invalidated.
+        // No link changed: zero sources recomputed, yet the factor still
+        // reaches every inter-AS answer.
         assert_eq!((stats.changed_links, stats.dirty_sources), (0, 0));
-        let refills0 = u.route_cache_refills();
-        let lat1 = u.latency_us(a, b).unwrap();
-        assert!(lat1 > lat0);
-        assert!(u.route_cache_refills() > refills0, "must refill lazily");
+        assert!(u.latency_us(a, b).unwrap() > lat0);
+    }
+
+    /// The inter-AS latency a fresh routing table gives for `(a, b)` under
+    /// `factor`: the reference the stale-answer differential checks
+    /// against.
+    fn reference_latency_us(
+        u: &Underlay,
+        reference: &Routing,
+        factor: f64,
+        a: HostId,
+        b: HostId,
+    ) -> Option<u64> {
+        let (ha, hb) = (u.host(a), u.host(b));
+        let r = reference.route(ha.asn, hb.asn)?;
+        let mut combined = r.latency_us + r.hops as u64 * u.config.per_as_hop_us;
+        if (factor - 1.0).abs() > f64::EPSILON {
+            combined = (combined as f64 * factor) as u64;
+        }
+        Some(ha.access_latency_us + hb.access_latency_us + combined)
+    }
+
+    #[test]
+    fn fault_epochs_never_serve_stale_latency() {
+        // Stale-answer differential: after every fault epoch, each
+        // inter-AS latency and RTT must equal the formula recomputed from
+        // a from-scratch routing table under the epoch's mask and factor.
+        let (mut u, li) = deep_underlay();
+        let n_links = u.graph.links.len();
+        let mut single = vec![false; n_links];
+        single[li] = true;
+        let mut transit_heavy = single.clone();
+        for (i, l) in u.graph.links.iter().enumerate() {
+            if l.kind == crate::asgraph::LinkKind::Transit && i % 2 == 0 {
+                transit_heavy[i] = true;
+            }
+        }
+        let state = |mask: Option<&Vec<bool>>, factor: f64| {
+            let mut s = crate::fault::FaultState::clear();
+            s.mask = mask.cloned();
+            s.latency_factor = factor;
+            s
+        };
+        let epochs = [
+            state(Some(&single), 1.0),
+            state(Some(&transit_heavy), 1.0),
+            state(Some(&transit_heavy), 2.0),
+            state(Some(&single), 3.0),
+            crate::fault::FaultState::clear(),
+        ];
+        let hosts: Vec<HostId> = u.hosts.ids().collect();
+        let mut prev: Vec<Option<u64>> = Vec::new();
+        for (e, st) in epochs.iter().enumerate() {
+            u.apply_fault_state(st);
+            let reference = Routing::compute_serial(&u.graph, u.config.routing, st.mask.as_deref());
+            let mut answers = Vec::new();
+            for &a in &hosts {
+                for &b in &hosts {
+                    if u.same_as(a, b) {
+                        continue;
+                    }
+                    let want = reference_latency_us(&u, &reference, st.latency_factor, a, b);
+                    let back = reference_latency_us(&u, &reference, st.latency_factor, b, a);
+                    assert_eq!(u.latency_us(a, b), want, "epoch {e}: latency {a:?}->{b:?}");
+                    let rtt = want.zip(back).map(|(f, r)| f + r);
+                    assert_eq!(u.rtt_us(a, b), rtt, "epoch {e}: rtt {a:?}<->{b:?}");
+                    answers.push(want);
+                }
+            }
+            assert_ne!(answers, prev, "epoch {e} must move some answer");
+            prev = answers;
+        }
     }
 
     #[test]
@@ -1212,27 +792,6 @@ mod tests {
             recomputed < total / 4,
             "localized faults must stay incremental"
         );
-    }
-
-    #[test]
-    fn direct_write_invalidation_drops_and_restores_repair_index() {
-        // invalidate_route_cache after a direct routing write cannot trust
-        // the repair bookkeeping; the next fault epoch takes one full
-        // rebuild and is incremental again afterwards.
-        let (mut u, li) = deep_underlay();
-        u.routing = Routing::compute_with_mask(&u.graph, u.config.routing, None);
-        u.invalidate_route_cache();
-        let mut state = crate::fault::FaultState::clear();
-        let mut mask = vec![false; u.graph.links.len()];
-        mask[li] = true;
-        state.mask = Some(mask.clone());
-        let stats = u.apply_fault_state(&state);
-        assert!(
-            stats.full_rebuild,
-            "first epoch after direct write rebuilds"
-        );
-        let heal = u.apply_fault_state(&crate::fault::FaultState::clear());
-        assert!(!heal.full_rebuild, "index restored: next epoch incremental");
     }
 
     #[test]

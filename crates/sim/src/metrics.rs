@@ -208,7 +208,7 @@ impl Metrics {
 
     /// Sets the named counter to an absolute value, overwriting any
     /// previous value. Used to export externally-accumulated counters
-    /// (e.g. the underlay route-cache hit/miss cells) at end of run.
+    /// (e.g. the underlay's routing-repair totals) at end of run.
     pub fn set_counter(&mut self, name: &str, v: u64) {
         #[cfg(debug_assertions)]
         crate::trace::registry::debug_check_metric_key(name);

@@ -68,7 +68,7 @@ impl MetricKind {
 /// One declared metrics key (or trailing-`*` key pattern).
 #[derive(Clone, Copy, Debug)]
 pub struct MetricSpec {
-    /// Full key (`"net.route_cache.hit"`) or prefix pattern
+    /// Full key (`"net.flow.opened"`) or prefix pattern
     /// (`"engine.events.*"`).
     pub key: &'static str,
     /// Storage shape of the key.
@@ -99,12 +99,6 @@ pub const TRACE_KINDS: &[TraceKindSpec] = &[
         kind: "dispatch",
         level: "trace",
         doc: "one event popped from the queue (kind, queue depth)",
-    },
-    TraceKindSpec {
-        component: "net",
-        kind: "route_cache",
-        level: "debug",
-        doc: "AS-pair route cache probe outcome (hit/miss, packed entry)",
     },
     TraceKindSpec {
         component: "net",
@@ -348,21 +342,6 @@ pub const METRICS: &[MetricSpec] = &[
         doc: "events processed per simulated second",
     },
     MetricSpec {
-        key: "net.route_cache.hit",
-        kind: MetricKind::Counter,
-        doc: "AS-pair route cache hits (exported at end of run)",
-    },
-    MetricSpec {
-        key: "net.route_cache.miss",
-        kind: MetricKind::Counter,
-        doc: "AS-pair route cache misses (exported at end of run)",
-    },
-    MetricSpec {
-        key: "net.route_cache.invalidations",
-        kind: MetricKind::Counter,
-        doc: "route-cache rebuilds after routing swaps (exported at end of run)",
-    },
-    MetricSpec {
         key: "net.flow.opened",
         kind: MetricKind::Counter,
         doc: "flows accepted by the max-min allocator (exported at end of run)",
@@ -562,13 +541,13 @@ mod tests {
             !trace_kind_declared("echo", "ping"),
             "scratch components are undeclared"
         );
-        assert!(metric_key_declared("net.route_cache.hit"));
+        assert!(metric_key_declared("net.flow.opened"));
         assert!(metric_key_declared("engine.events.ping"), "pattern key");
         assert!(
             !metric_key_declared("engine.events."),
             "empty dynamic segment"
         );
-        assert!(!metric_key_declared("net.route_cache.evictions"));
+        assert!(!metric_key_declared("net.flow.evictions"));
         assert!(in_registered_namespace("gnutella.msg.ping"));
         assert!(!in_registered_namespace("gnutellaX.msg"));
         assert!(!in_registered_namespace("ping"));
@@ -610,7 +589,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "not declared")]
     fn undeclared_key_in_registered_namespace_panics_in_debug() {
-        debug_check_metric_key("net.route_cache.evictions");
+        debug_check_metric_key("net.flow.evictions");
     }
 
     #[test]
